@@ -15,8 +15,7 @@ import (
 // RunAllContext fan-out whose requests share a workload (same TraceKey)
 // under two or more distinct timing configurations is simulated as one
 // sim.RunBatch call — every trace record decoded once and fanned out to
-// all lanes, with the trace's wrong-path segment cache shared between
-// them — instead of N independent replays. Results are byte-identical to
+// all lanes — instead of N independent replays. Results are byte-identical to
 // the serial replay path; only the accounting (RunnerStats.Batched,
 // BatchGroups) and the wall clock differ.
 
@@ -133,10 +132,6 @@ func (g *batchGroup) run() {
 		opts[i] = lr.o
 	}
 	results, errs := runBatchContext(g.ctx, opts, tr)
-	// The batch grew the trace's wrong-path segment cache; fold the new
-	// bytes into the trace cache's accounting so its budget keeps
-	// bounding total resident replay state.
-	r.traces.Reprice(g.tk)
 	elapsed := time.Since(start)
 	for i, lr := range lanes {
 		lr.ch <- laneOut{res: results[i], err: errs[i], elapsed: elapsed}

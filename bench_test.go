@@ -218,12 +218,9 @@ func BenchmarkBatchedSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			st := r.Stats()
-			if st.Batched != len(sweep) || st.BatchGroups != 1 {
+			if st := r.Stats(); st.Batched != len(sweep) || st.BatchGroups != 1 {
 				b.Fatalf("sweep did not run as one batch: %+v", st)
 			}
-			b.ReportMetric(float64(st.SegHits), "seg_hits")
-			b.ReportMetric(float64(st.SegInvalidated), "seg_invalidated")
 		}
 	}
 }

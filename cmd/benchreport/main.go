@@ -213,7 +213,7 @@ func sweepOptions(bench string, delta int) []blp.Options {
 // simulations, each running the functional emulator — the pre-replay
 // cost of a sweep) and through a serial Runner, which captures the trace
 // once and runs all six configurations as one batched replay over a
-// shared decode ring and wrong-path segment cache.
+// shared decode ring.
 func measureSweep(bench string, delta int) []Entry {
 	sweep := sweepOptions(bench, delta)
 	if _, err := kernels.Build(kernels.Spec{Kernel: bench, Scale: sweep[0].Scale}); err != nil {
@@ -240,9 +240,8 @@ func measureSweep(bench string, delta int) []Entry {
 	live := Entry{Name: "sweep6/" + bench + "/live", WallSeconds: liveWall, Allocs: liveAllocs}
 	bat := Entry{Name: "sweep6/" + bench + "/batched", WallSeconds: batchWall, Allocs: batchAllocs}
 	log.Printf("%-12s %8.2fs  %9d allocs", live.Name, live.WallSeconds, live.Allocs)
-	log.Printf("%-12s %8.2fs  %9d allocs  (%.2fx vs live; seg hits %d misses %d invalidated %d bypassed %d)",
-		bat.Name, bat.WallSeconds, bat.Allocs, liveWall/batchWall,
-		st.SegHits, st.SegMisses, st.SegInvalidated, st.SegBypassed)
+	log.Printf("%-12s %8.2fs  %9d allocs  (%.2fx vs live)",
+		bat.Name, bat.WallSeconds, bat.Allocs, liveWall/batchWall)
 	return []Entry{live, bat}
 }
 

@@ -37,7 +37,7 @@ var faultMode FaultMode
 func SetFaultInjection(m FaultMode) { faultMode = m }
 
 // faultFullFlushVictim applies the armed fault to the first victim of a
-// full-squash recovery (conventionalFlush or partialFlush). It returns
+// full-squash recovery (partialFlush, at any depth). It returns
 // true when the fault consumed the victim, i.e. the caller must skip the
 // normal releaseFlushed for it.
 func (c *Core) faultFullFlushVictim(t *thread, u *uop, n *rob.Node[*uop]) bool {

@@ -253,7 +253,8 @@ func init() {
 			return []PolicySpec{
 				{Kind: PolicyPartial, Depth: 1},
 				{Kind: PolicyPartial, Depth: mid},
-				{Kind: PolicyPartial}, // unbounded ≡ conventional
+				{Kind: PolicyPartial, Depth: robSize}, // bounded, yet never parks ≡ conventional
+				{Kind: PolicyPartial},                 // unbounded ≡ conventional
 			}
 		},
 	})
@@ -296,7 +297,7 @@ type selectivePolicy struct{}
 func (selectivePolicy) Name() string            { return PolicySelective }
 func (selectivePolicy) SelectiveEligible() bool { return true }
 func (selectivePolicy) Recover(c *Core, t *thread, u *uop) {
-	c.resolveConventional(t, u)
+	c.resolveFlush(t, u, 0)
 }
 
 // conventionalPolicy recovers every misprediction with a full flush.
@@ -305,38 +306,21 @@ type conventionalPolicy struct{}
 func (conventionalPolicy) Name() string            { return PolicyConventional }
 func (conventionalPolicy) SelectiveEligible() bool { return false }
 func (conventionalPolicy) Recover(c *Core, t *thread, u *uop) {
-	c.resolveConventional(t, u)
+	c.resolveFlush(t, u, 0)
 }
 
 // partialPolicy flushes the depth victims nearest the branch at
 // resolution and drains the rest out of the window at depth per cycle
 // (partialFlush) — the staged squash of a hardware walker that can only
 // reclaim a few entries per cycle. Depth 0 is unbounded and therefore
-// byte-identical to conventional.
+// byte-identical to conventional, as is any depth of at least the ROB
+// size: the walk never finds more victims than that, so it parks none.
 type partialPolicy struct{ depth int }
 
 func (p partialPolicy) Name() string            { return PolicySpec{Kind: PolicyPartial, Depth: p.depth}.String() }
 func (p partialPolicy) SelectiveEligible() bool { return false }
 func (p partialPolicy) Recover(c *Core, t *thread, u *uop) {
-	// A new recovery supersedes an in-progress drain: its parked
-	// victims are all logically younger than the (older) new branch's
-	// window contents-to-be, so finish releasing them at once rather
-	// than hold the new correct path behind stale wrong-path work.
-	if t.drainLen() > 0 {
-		c.finishDrain(t)
-	}
-	if p.depth > 0 {
-		n := 0
-		for cur := u.node.Next; cur != nil; cur = cur.Next {
-			n++
-		}
-		if n > p.depth {
-			t.pred.Resolve(u.pred, uint64(u.d.PC), u.d.Taken, true)
-			c.partialFlush(t, u, p.depth)
-			return
-		}
-	}
-	c.resolveConventional(t, u)
+	c.resolveFlush(t, u, p.depth)
 }
 
 // throttlePolicy recovers conventionally but gates fetch to one
@@ -347,10 +331,12 @@ func (p partialPolicy) Recover(c *Core, t *thread, u *uop) {
 // conventional.
 type throttlePolicy struct{ conf uint8 }
 
-func (p throttlePolicy) Name() string            { return PolicySpec{Kind: PolicyThrottle, Conf: int(p.conf)}.String() }
+func (p throttlePolicy) Name() string {
+	return PolicySpec{Kind: PolicyThrottle, Conf: int(p.conf)}.String()
+}
 func (p throttlePolicy) SelectiveEligible() bool { return false }
 func (p throttlePolicy) Recover(c *Core, t *thread, u *uop) {
-	c.resolveConventional(t, u)
+	c.resolveFlush(t, u, 0)
 }
 
 func (p throttlePolicy) OnFetchBranch(c *Core, t *thread, u *uop) {

@@ -149,31 +149,58 @@ func (c *Core) resolveSelective(t *thread, u *uop) {
 	t.fetchStallUntil = maxi64(t.fetchStallUntil, c.now+1)
 }
 
-// resolveConventional performs the classic full flush for a mispredicted
-// branch outside any slice (or with selective flush disabled).
-func (c *Core) resolveConventional(t *thread, u *uop) {
+// resolveFlush trains the predictor on mispredicted branch u and repairs
+// the window with partialFlush — the full-squash recovery behind every
+// policy, including selective flush's out-of-slice misses. depth 0 is
+// unbounded (the conventional flush).
+func (c *Core) resolveFlush(t *thread, u *uop, depth int) {
 	t.pred.Resolve(u.pred, uint64(u.d.PC), u.d.Taken, true)
-	c.conventionalFlush(t, u)
+	c.partialFlush(t, u, depth)
 }
 
-// conventionalFlush removes everything logically younger than branch u,
-// cancels pending misses belonging to the flushed region, restores the
-// rename checkpoint, and resets the fetch state machine to the correct
-// path (the trace cursor, which stopped right after the branch).
-func (c *Core) conventionalFlush(t *thread, u *uop) {
-	c.stats.ConvRecoveries++
-	if c.traceOn {
-		c.trace("RECOVER-ALL t%d %s", t.id, traceUop(u))
+// partialFlush is the one victim walk of every full-squash recovery: it
+// removes everything logically younger than branch u, cancels pending
+// misses belonging to the flushed region, restores the rename
+// checkpoint, and resets the fetch state machine to the correct path
+// (the trace cursor, which stopped right after the branch).
+//
+// depth stages the victim release: the depth victims nearest the branch
+// leave the window at resolution, the rest at depth per cycle
+// (drainStep), modeling a squash walker that reclaims a bounded number
+// of entries per cycle. The branch then stays at the commit head as the
+// order boundary (drainHold) until the drain completes; frontend, miss,
+// rename, and fetch repair are never staged. Depth 0 is unbounded, and a
+// walk that finds no more victims than its depth parks nothing: both
+// are the conventional flush.
+func (c *Core) partialFlush(t *thread, u *uop, depth int) {
+	// A new recovery supersedes an in-progress drain: its parked victims
+	// are all logically younger than the (older) new branch's window
+	// contents-to-be, so finish releasing them at once rather than hold
+	// the new correct path behind stale wrong-path work.
+	if t.drainLen() > 0 {
+		c.finishDrain(t)
 	}
+	c.stats.ConvRecoveries++
 
-	// 1. Flush dispatched younger instructions (linked-list order is
+	// 1. Unlink dispatched younger instructions (linked-list order is
 	// logical order, so resolve-path instructions of older misses —
-	// spliced before u — survive).
+	// spliced before u — survive) and release the first depth of them.
 	victims := t.list.RemoveRangeAfter(&u.node)
+	staged := depth > 0 && len(victims) > depth
+	if !staged {
+		depth = len(victims)
+	}
+	if c.traceOn {
+		if staged {
+			c.trace("RECOVER-PART t%d %s depth=%d", t.id, traceUop(u), depth)
+		} else {
+			c.trace("RECOVER-ALL t%d %s", t.id, traceUop(u))
+		}
+	}
 	if c.rec != nil {
 		c.recordMechanism(flight.EvRecoverFull, t, u, int64(len(victims)))
 	}
-	for i, n := range victims {
+	for i, n := range victims[:depth] {
 		if faultMode != FaultNone && i == 0 && c.faultFullFlushVictim(t, u, n) {
 			continue
 		}
@@ -188,14 +215,20 @@ func (c *Core) conventionalFlush(t *thread, u *uop) {
 
 	// 3. Cancel pending misses whose branch was flushed, then squash
 	// them from the FRQ. (The cancel flag is authoritative: the branch
-	// uop pointer must not be consulted after it can be recycled.)
+	// uop pointer must not be consulted after it can be recycled.) Miss
+	// cancellation is not staged: a parked victim's FRQ entry must
+	// squash now, before startNextResolve picks a resolve target. Only
+	// the released victims are freed; parked ones stay live (they may
+	// still issue and complete while draining) and are freed as the
+	// drain releases them.
 	for i, n := range victims {
 		if faultMode == FaultSkipUnlink && i == 0 {
 			continue // the re-linked victim stays live (injected bug)
 		}
-		v := n.Val
-		c.cancelVictimMiss(t, v)
-		c.freeUop(v)
+		c.cancelVictimMiss(t, n.Val)
+		if i < depth {
+			c.freeUop(n.Val)
+		}
 	}
 	t.fq.Squash(func(mi *missInfo) bool { return mi.cancelled })
 	if t.pendingMisses == 0 {
@@ -214,6 +247,20 @@ func (c *Core) conventionalFlush(t *thread, u *uop) {
 
 	// 5. Reset fetch to the trace.
 	c.resetFetchAfterFlush(t)
+
+	if !staged {
+		return
+	}
+	// Park the remainder oldest-first and hold the branch at commit as
+	// the order boundary until the walker catches up.
+	for _, n := range victims[depth:] {
+		t.drainQ = append(t.drainQ, n.Val)
+	}
+	u.drainHold = true
+	t.drainBoundary = u
+	t.drainBoundaryID = u.id
+	t.drainDepth = depth
+	c.draining++
 }
 
 // flushFrontendYounger drops every frontend uop logically younger than
@@ -296,75 +343,6 @@ func (c *Core) resetFetchAfterFlush(t *thread) {
 	t.redirectUntil = c.now + 1 + int64(c.cfg.FrontendDepth)
 	t.fetchStallUntil = maxi64(t.fetchStallUntil, c.now+1)
 	t.lastILine = -1
-}
-
-// partialFlush is conventionalFlush with the victim release staged: the
-// depth victims nearest the branch leave the window at resolution, the
-// rest at depth per cycle (drainStep), modeling a squash walker that
-// reclaims a bounded number of entries per cycle. The branch stays at
-// the commit head as the order boundary (drainHold) until the drain
-// completes; frontend, miss, rename, and fetch repair are not staged —
-// they happen at resolution exactly as in a conventional flush. Callers
-// guarantee len(victims) > depth >= 1.
-func (c *Core) partialFlush(t *thread, u *uop, depth int) {
-	c.stats.ConvRecoveries++
-	if c.traceOn {
-		c.trace("RECOVER-PART t%d %s depth=%d", t.id, traceUop(u), depth)
-	}
-
-	victims := t.list.RemoveRangeAfter(&u.node)
-	if c.rec != nil {
-		c.recordMechanism(flight.EvRecoverFull, t, u, int64(len(victims)))
-	}
-	for i := 0; i < depth; i++ {
-		if faultMode != FaultNone && i == 0 && c.faultFullFlushVictim(t, u, victims[i]) {
-			continue
-		}
-		c.releaseFlushed(t, victims[i].Val)
-	}
-	c.stats.FlushedFull += uint64(len(victims))
-
-	c.flushFrontendYounger(t, u.d.Seq)
-
-	// Miss cancellation is not staged: a parked victim's FRQ entry must
-	// squash now, before startNextResolve picks a resolve target. Only
-	// the released prefix is freed; parked victims stay live (they may
-	// still issue and complete while draining) and are freed as the
-	// drain releases them.
-	for i, n := range victims {
-		c.cancelVictimMiss(t, n.Val)
-		if i < depth {
-			if faultMode == FaultSkipUnlink && i == 0 {
-				continue // the re-linked victim stays live (injected bug)
-			}
-			c.freeUop(n.Val)
-		}
-	}
-	t.fq.Squash(func(mi *missInfo) bool { return mi.cancelled })
-	if t.pendingMisses == 0 {
-		t.fenceStall = false
-	}
-	t.startNextResolve()
-
-	if u.ck != nil {
-		t.rt.Restore(*u.ck)
-		u.ck = nil
-	} else if u.miss != nil && u.miss.ckValid {
-		t.rt.Restore(u.miss.ck)
-	}
-
-	c.resetFetchAfterFlush(t)
-
-	// Park the remainder oldest-first and hold the branch at commit as
-	// the order boundary until the walker catches up.
-	for _, n := range victims[depth:] {
-		t.drainQ = append(t.drainQ, n.Val)
-	}
-	u.drainHold = true
-	t.drainBoundary = u
-	t.drainBoundaryID = u.id
-	t.drainDepth = depth
-	c.draining++
 }
 
 // drainStep advances every in-progress staged flush by one cycle,

@@ -99,8 +99,8 @@ func runSim(c *Case, selective, cycleAccurate bool) (res *sim.Result, mem []byte
 //	replay    core sim, selective flush, frontend fed from a captured
 //	          trace (single-threaded cases only — replay's domain)
 //	batch     the sel/ca/conv variants re-run as lanes of one batched
-//	          replay: a shared trace decode ring and a shared wrong-path
-//	          segment cache (single-threaded cases only)
+//	          replay sharing a trace decode ring (single-threaded cases
+//	          only)
 //	policy    when Cfg.Policy is set: the sampled recovery policy run
 //	          event-driven and cycle-accurate (the seventh leg; see
 //	          RunPolicy)
@@ -195,11 +195,9 @@ func RunCase(c *Case) *Violation {
 				c.Name, diffResults(res, results["sel"]))
 		}
 
-		// PR8's guarantee: batched replay — one shared decode ring, one
-		// shared wrong-path segment cache — is indistinguishable from a
-		// serial run, lane by lane, even with flush modes and stepping
-		// styles mixed in the same batch.
-		tr.EnsureSegs(0, nil)
+		// Batched replay — one shared decode ring — is indistinguishable
+		// from a serial run, lane by lane, even with flush modes and
+		// stepping styles mixed in the same batch.
 		keys := []string{"sel", "ca", "conv"}
 		bres, bmems, err := runBatch(c, tr)
 		if err != nil {

@@ -18,8 +18,9 @@ import (
 //   - both commit exactly the reference instruction count,
 //   - the two stepping styles produce byte-identical results,
 //   - a degenerate parameterization is byte-identical to its legacy leg:
-//     "selective" to the sel leg, and "conventional"/"partial:inf"/
-//     "throttle:0" to the conv leg (when legacy is non-nil).
+//     "selective" to the sel leg, and "conventional", "partial:inf",
+//     partial at a depth of at least the ROB size, and "throttle:0" to
+//     the conv leg (when legacy is non-nil).
 //
 // legacy is RunCase's results map ("sel"/"ca"/"conv"); pass nil to skip
 // the identity checks (the conformance suite builds its own pairs).
@@ -67,7 +68,7 @@ func RunPolicy(c *Case, refMem []byte, wantCommits uint64, legacy map[string]*si
 	}
 
 	if legacy != nil {
-		if twin := degenerateTwin(spec); twin != "" {
+		if twin := degenerateTwin(spec, c.Cfg.ROBSize); twin != "" {
 			if !reflect.DeepEqual(*results["policy"], *legacy[twin]) {
 				return violationf("policy-identity",
 					"%s: policy %s must be byte-identical to the %s leg: %s",
@@ -79,15 +80,16 @@ func RunPolicy(c *Case, refMem []byte, wantCommits uint64, legacy map[string]*si
 }
 
 // degenerateTwin names the legacy leg a policy spec must be byte-identical
-// to, or "" when the spec is a genuinely new machine.
-func degenerateTwin(spec core.PolicySpec) string {
+// to on a machine with robSize ROB entries, or "" when the spec is a
+// genuinely new machine.
+func degenerateTwin(spec core.PolicySpec, robSize int) string {
 	switch {
 	case spec.Kind == core.PolicySelective:
 		return "sel"
 	case spec.Kind == core.PolicyConventional:
 		return "conv"
-	case spec.Kind == core.PolicyPartial && spec.Depth == 0:
-		return "conv" // partial:inf releases everything at resolution
+	case spec.Kind == core.PolicyPartial && (spec.Depth == 0 || spec.Depth >= robSize):
+		return "conv" // no more victims than the depth: all released at resolution
 	case spec.Kind == core.PolicyThrottle && spec.Conf == 0:
 		return "conv" // a threshold of 0 never gates fetch
 	}

@@ -42,7 +42,8 @@ func conformanceCases(t *testing.T) []*Case {
 // (core.ConformanceMatrix), runs every corpus case and must produce the
 // reference memory image and commit count under both stepping styles —
 // and the degenerate parameterizations (selective, conventional,
-// partial:inf, throttle:0) must be byte-identical to the legacy
+// partial:inf, partial at the ROB size, throttle:0) must be
+// byte-identical to the legacy
 // selective/conventional legs. A new policy registered in internal/core
 // enters this matrix automatically.
 func TestPolicyConformance(t *testing.T) {

@@ -209,37 +209,6 @@ func (c *Cache[V]) DoWithJoin(ctx context.Context, key string, fn func() (V, err
 	return cl.val, cl.err, false
 }
 
-// Reprice recomputes the cost of key's resident entry with the cache's
-// cost function and adjusts the shard's byte accounting, evicting older
-// entries if the new cost pushes the shard over budget. Callers use it
-// when a cached value's footprint grows after insertion (a trace whose
-// wrong-path segment cache filled up). Reports whether the key was
-// resident; the repriced entry itself is touched (so it is the last to
-// go) but entries evicted to make room fire the eviction hook as usual.
-func (c *Cache[V]) Reprice(key string) bool {
-	s := c.shardFor(key)
-	s.mu.Lock()
-	el, ok := s.done[key]
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
-	s.lru.MoveToFront(el)
-	e := el.Value.(*entry[V])
-	nc := c.cost(key, e.val)
-	s.bytes += nc - e.cost
-	e.cost = nc
-	evicted := s.evictToLocked(c.budget)
-	s.mu.Unlock()
-	for _, ev := range evicted {
-		c.evictions.Add(1)
-		if c.onEvict != nil {
-			c.onEvict(ev.key, ev.val)
-		}
-	}
-	return true
-}
-
 // Get returns the resident value for key without computing, touching the
 // LRU on hit.
 func (c *Cache[V]) Get(key string) (v V, ok bool) {

@@ -35,7 +35,11 @@ import (
 // unclustered server), MetricsSnapshot gained cluster (ring membership
 // plus per-peer forwarded/failed/fallback counters; null when
 // unclustered), and /healthz gained the cluster section.
-const SchemaVersion = 6
+//
+// v7: sims lost the seg_* counters (seg_hits, seg_misses,
+// seg_invalidated, seg_bypassed) with the wrong-path segment cache they
+// counted.
+const SchemaVersion = 7
 
 // Zero is the wire spelling of blp.Zero: integer options whose zero
 // value means "default" accept -1 to request an explicit 0.

@@ -103,21 +103,15 @@ type StoreMetrics struct {
 // expose the trace-once/simulate-many accounting: the functional
 // emulator ran simulated - replayed + captured times. Batched counts
 // the replayed runs that rode a shared-decode batch (BatchGroups of
-// them), and the seg_* counters expose the wrong-path segment cache:
-// hits replayed a memoized wrong path with zero shadow emulation,
-// invalidated counts fingerprint mismatches that fell back to live.
+// them).
 type SimMetrics struct {
-	Simulated      int   `json:"simulated"`
-	Cached         int   `json:"cached"`
-	InFlight       int   `json:"in_flight"`
-	Captured       int   `json:"captured"`
-	Replayed       int   `json:"replayed"`
-	Batched        int   `json:"batched"`
-	BatchGroups    int   `json:"batch_groups"`
-	SegHits        int64 `json:"seg_hits"`
-	SegMisses      int64 `json:"seg_misses"`
-	SegInvalidated int64 `json:"seg_invalidated"`
-	SegBypassed    int64 `json:"seg_bypassed"`
+	Simulated   int `json:"simulated"`
+	Cached      int `json:"cached"`
+	InFlight    int `json:"in_flight"`
+	Captured    int `json:"captured"`
+	Replayed    int `json:"replayed"`
+	Batched     int `json:"batched"`
+	BatchGroups int `json:"batch_groups"`
 }
 
 // PeerMetrics is one peer's forwarding counters from this node's point
@@ -217,8 +211,6 @@ func (m *serverMetrics) snapshot(runner *blp.Runner, q *queue, c *cluster, drain
 		Simulated: rs.Simulated, Cached: rs.Cached, InFlight: rs.InFlight,
 		Captured: rs.Captured, Replayed: rs.Replayed,
 		Batched: rs.Batched, BatchGroups: rs.BatchGroups,
-		SegHits: rs.SegHits, SegMisses: rs.SegMisses,
-		SegInvalidated: rs.SegInvalidated, SegBypassed: rs.SegBypassed,
 	}
 	snap.BatchGroupSizes = make(map[string]int)
 	for k, v := range runner.BatchHistogram() {

@@ -14,12 +14,10 @@ import (
 // view; the lanes run concurrently, one goroutine each, paced by the
 // batch's ring window so the stream is consumed as a narrow moving front.
 // Each lane's result is byte-identical to
-// Run(cfgs[i] with Replay=tr, ws[i]) — the lanes share decode work and
-// the trace's wrong-path segment cache, nothing architectural: a lane's
-// simulation depends only on the immutable record stream and its own
-// state, and segment-cache hit ordering affects wall time, never results
-// (a fingerprint-validated hit replays exactly what a live shadow would
-// emulate; a miss falls back to that live shadow).
+// Run(cfgs[i] with Replay=tr, ws[i]), itself a batch of one — the lanes
+// share decode work, nothing architectural: a lane's simulation depends
+// only on the immutable record stream and its own state, and its wrong
+// paths fork live shadows from its own view.
 //
 // Lanes are independent: results[i] and errs[i] report lane i alone, and
 // one lane failing (watchdog, MaxCycles, cancellation) does not abort the

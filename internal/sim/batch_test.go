@@ -34,10 +34,9 @@ func batchSweepConfigs(sliced bool) []Config {
 
 // TestRunBatchMatchesSerialReplay is the batched-vs-serial equivalence
 // pin: for every configuration in a mixed sweep, RunBatch's per-lane
-// Result must equal the serial Run-with-Replay Result byte for byte, in
-// both flush modes (the sliced mode exercises wrong-path segment forks
-// through the shared cache; the runs also diverge in fork points, so
-// segment fingerprint validation is on the line too).
+// Result must equal the serial Run-with-Replay Result — a one-view
+// batch — byte for byte, in both flush modes (the runs diverge in fork
+// points, so each lane's wrong paths fork from its own view's state).
 func TestRunBatchMatchesSerialReplay(t *testing.T) {
 	for _, sliced := range []bool{false, true} {
 		w := buildOddEven(2000, sliced, 42)
@@ -46,8 +45,6 @@ func TestRunBatchMatchesSerialReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr.EnsureSegs(0, nil)
-
 		cfgs := batchSweepConfigs(sliced)
 
 		// Serial reference: one replayed run per config, fresh workload each.

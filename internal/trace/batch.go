@@ -16,7 +16,8 @@ import (
 // config's wrong paths fork from that view's state), but the decode work
 // and the DynInst construction are shared across all of them.
 //
-// Views step concurrently, one goroutine each (sim.RunBatch). The ring is
+// A serial replay is a batch of one view (NewReplay); a sweep's lanes are
+// views stepped concurrently, one goroutine each (sim.RunBatch). The ring is
 // a fixed-size window: a view that outruns the slowest live view by more
 // than batchWindow records blocks until the stream's tail catches up, so
 // the ring never grows and stays hot in cache. Coordination is kept off
@@ -73,11 +74,12 @@ const (
 	batchDecodeAhead = 1 << 10
 )
 
-// NewBatch builds a shared decoder over tr for prog (the program the
-// trace was captured from, checked like NewReplay).
+// NewBatch builds a shared decoder over tr for prog. The program must be
+// the one the trace was captured from (checked cheaply by name and
+// length).
 func NewBatch(tr *Trace, prog *isa.Program) (*Batch, error) {
 	if prog.Name != tr.progName || len(prog.Code) != tr.progLen {
-		return nil, fmt.Errorf("trace: batching %s (%d insts) with trace of %s (%d insts)",
+		return nil, fmt.Errorf("trace: replaying %s (%d insts) with trace of %s (%d insts)",
 			prog.Name, len(prog.Code), tr.progName, tr.progLen)
 	}
 	b := &Batch{
@@ -95,7 +97,7 @@ func NewBatch(tr *Trace, prog *isa.Program) (*Batch, error) {
 // initial memory image (each timing config mutates its own copy). Views
 // must be created before any of them steps.
 func (b *Batch) NewView(mem []byte) *Replay {
-	r := &Replay{tr: b.tr, prog: b.prog, mem: mem, batch: b, segs: b.tr.segs.Load()}
+	r := &Replay{tr: b.tr, prog: b.prog, mem: mem, batch: b}
 	if len(b.tr.pcs) > 0 {
 		r.nextPC = int(b.tr.pcs[0])
 	}
@@ -113,9 +115,6 @@ func (b *Batch) Drop(r *Replay) {
 	b.cond.Broadcast()
 	b.mu.Unlock()
 }
-
-// Cur returns the view's stream cursor (records consumed).
-func (r *Replay) Cur() int { return r.cur }
 
 // minPubLocked recomputes the lower bound over published cursors. With no
 // live views the decode head bounds itself.
@@ -184,9 +183,9 @@ func (r *Replay) syncBatch() error {
 	return nil
 }
 
-// decodeOne advances the shared decode cursor by one record, mirroring
-// Replay.Step's reconstruction exactly (Seq, Taken, Addr, slice context,
-// next-PC) minus the per-view architectural effects. Caller holds b.mu
+// decodeOne advances the shared decode cursor by one record,
+// reconstructing everything but the per-view architectural effects (Seq,
+// Taken, Addr, destination value, slice context, next-PC). Caller holds b.mu
 // and has established that the target slot is reusable.
 func (b *Batch) decodeOne() error {
 	cur := b.next
@@ -232,63 +231,4 @@ func (b *Batch) decodeOne() error {
 	b.ring[cur&b.mask] = batchRec{d: d, val: val, fl: fl}
 	b.next++
 	return nil
-}
-
-// batchStep is Replay.Step for a batch view: the decoded record comes
-// from the shared ring; only the view's own architectural state (memory
-// image, register file, slice context, halt) is advanced here.
-func (r *Replay) batchStep() (emu.DynInst, error) {
-	if r.halted {
-		return emu.DynInst{}, fmt.Errorf("%s: step after halt", r.prog.Name)
-	}
-	if r.cur >= len(r.tr.pcs) {
-		return emu.DynInst{}, fmt.Errorf("trace: %s: stream exhausted without halt at record %d",
-			r.prog.Name, r.cur)
-	}
-	if r.cur >= r.decoded {
-		if err := r.syncBatch(); err != nil {
-			return emu.DynInst{}, err
-		}
-	} else if r.cur-r.pubCur >= batchPubChunk {
-		r.publish()
-	}
-	rec := &r.batch.ring[r.cur&r.batch.mask]
-	d := rec.d
-	in := d.Inst
-	op := in.Op
-	switch {
-	case op.IsStore():
-		if err := r.store(d.Addr, op.MemSize(), r.get(in.Val)); err != nil {
-			return d, err
-		}
-	case op.IsAtomic():
-		size := op.MemSize()
-		old, err := r.load(d.Addr, size)
-		if err != nil {
-			return d, err
-		}
-		nv := old + r.get(in.Val)
-		switch op {
-		case isa.AMin64, isa.AMin32, isa.AMinX64, isa.AMinX32:
-			nv = min(old, r.get(in.Val))
-		}
-		if err := r.store(d.Addr, size, nv); err != nil {
-			return d, err
-		}
-	}
-	if rec.fl&flagVal != 0 {
-		r.regs[in.Dst] = rec.val
-	}
-	switch op {
-	case isa.SliceStart:
-		r.inSlice = true
-		r.sliceID = d.SliceID
-	case isa.SliceEnd:
-		r.inSlice = false
-	case isa.Halt:
-		r.halted = true
-	}
-	r.cur++
-	r.nextPC = d.NextPC
-	return d, nil
 }

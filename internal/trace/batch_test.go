@@ -10,7 +10,8 @@ import (
 // TestBatchViewsMatchSerial fans one trace out to three views stepped at
 // deliberately skewed paces and requires each view's stream, final memory
 // image, and terminal observations to be byte-identical to a serial
-// replay.
+// replay — a one-view batch, so a 1-view batch is compared with an N-view
+// one. TestReplayMatchesMachine pins the serial replay to the emulator.
 func TestBatchViewsMatchSerial(t *testing.T) {
 	prog, img := buildSliced(200, 11)
 	tr, err := Capture(context.Background(), prog, append([]byte(nil), img...))

@@ -16,6 +16,10 @@ import (
 // wrong-path engines can fork from the exact state a live machine would
 // have at any branch.
 //
+// A Replay is always a view of a Batch: the decode comes from the batch's
+// shared ring, while the memory image, register file and cursors below
+// are the view's own. A serial replay (NewReplay) is simply a batch of one.
+//
 // A Replay owns its memory image the way a Machine does: recorded stores
 // are applied in program order, so after the stream is consumed the image
 // equals the live execution's final memory (workload output checks pass
@@ -28,43 +32,31 @@ type Replay struct {
 	regs [isa.NumRegs]uint64
 
 	cur    int // next record index; doubles as the sequence number
-	vi, ai int // cursors into the dense vals/addrs streams
+	nextPC int
 
-	nextPC  int
 	halted  bool
 	inSlice bool
 	sliceID uint64
 
-	// batch is non-nil for views created by Batch.NewView: decode comes
-	// from the shared ring, while mem/regs/cursors above stay per-view.
-	// decoded is the view's local snapshot of the batch's decode head
-	// (records below it are read lock-free); pubCur is the cursor value
-	// the view last published to the batch under its lock.
+	// batch supplies the decoded records; decoded is the view's local
+	// snapshot of its decode head (records below it are read lock-free);
+	// pubCur is the cursor value the view last published to the batch
+	// under its lock.
 	batch   *Batch
 	decoded int
 	pubCur  int
-
-	// segs memoizes wrong-path segments across every replay of the trace;
-	// segRec is the recorder wrapped around the previous Fork, finalized
-	// when the next fork proves it abandoned.
-	segs   *SegCache
-	segRec *segRecorder
 }
 
-// NewReplay builds a frontend replaying tr against prog and mem. The
-// program must be the one the trace was captured from (checked cheaply by
-// name and length); mem is the workload's initial memory image, mutated
-// in place as recorded stores are applied.
+// NewReplay builds a frontend replaying tr against prog and mem: a batch
+// of one view. The program must be the one the trace was captured from
+// (checked cheaply by name and length); mem is the workload's initial
+// memory image, mutated in place as recorded stores are applied.
 func NewReplay(tr *Trace, prog *isa.Program, mem []byte) (*Replay, error) {
-	if prog.Name != tr.progName || len(prog.Code) != tr.progLen {
-		return nil, fmt.Errorf("trace: replaying %s (%d insts) with trace of %s (%d insts)",
-			prog.Name, len(prog.Code), tr.progName, tr.progLen)
+	b, err := NewBatch(tr, prog)
+	if err != nil {
+		return nil, err
 	}
-	r := &Replay{tr: tr, prog: prog, mem: mem, segs: tr.segs.Load()}
-	if len(tr.pcs) > 0 {
-		r.nextPC = int(tr.pcs[0])
-	}
-	return r, nil
+	return b.NewView(mem), nil
 }
 
 func (r *Replay) get(reg isa.Reg) uint64 {
@@ -100,11 +92,10 @@ func (r *Replay) store(addr uint64, size int, v uint64) error {
 
 // Step produces the next recorded instruction and applies its
 // architectural effects (register write, memory store) to the replay's
-// state, mirroring Machine.Step record for record.
+// state, mirroring Machine.Step record for record. The decoded record
+// comes from the batch's shared ring; only the view's own state (memory
+// image, register file, slice context, halt) is advanced here.
 func (r *Replay) Step() (emu.DynInst, error) {
-	if r.batch != nil {
-		return r.batchStep()
-	}
 	if r.halted {
 		return emu.DynInst{}, fmt.Errorf("%s: step after halt", r.prog.Name)
 	}
@@ -112,29 +103,22 @@ func (r *Replay) Step() (emu.DynInst, error) {
 		return emu.DynInst{}, fmt.Errorf("trace: %s: stream exhausted without halt at record %d",
 			r.prog.Name, r.cur)
 	}
-	pc := int(r.tr.pcs[r.cur])
-	fl := r.tr.flags[r.cur]
-	in := r.prog.Code[pc]
-	d := emu.DynInst{
-		Seq:     uint64(r.cur),
-		PC:      pc,
-		Inst:    in,
-		Taken:   fl&flagTaken != 0,
-		InSlice: r.inSlice,
-		SliceID: r.sliceID,
+	if r.cur >= r.decoded {
+		if err := r.syncBatch(); err != nil {
+			return emu.DynInst{}, err
+		}
+	} else if r.cur-r.pubCur >= batchPubChunk {
+		r.publish()
 	}
-	r.cur++
-
-	if fl&flagAddr != 0 {
-		d.Addr = r.tr.addrs[r.ai]
-		r.ai++
-	}
+	rec := &r.batch.ring[r.cur&r.batch.mask]
+	d := rec.d
+	in := d.Inst
+	op := in.Op
 
 	// Memory effects first: stores read their data register, atomics read
 	// old memory, both before the destination write lands (the recorded
 	// destination value of an atomic is the old memory value, so ordering
 	// only matters for the memory side).
-	op := in.Op
 	switch {
 	case op.IsStore():
 		if err := r.store(d.Addr, op.MemSize(), r.get(in.Val)); err != nil {
@@ -155,31 +139,20 @@ func (r *Replay) Step() (emu.DynInst, error) {
 			return d, err
 		}
 	}
-
-	if fl&flagVal != 0 {
-		r.regs[in.Dst] = r.tr.vals[r.vi]
-		r.vi++
+	if rec.fl&flagVal != 0 {
+		r.regs[in.Dst] = rec.val
 	}
-
-	// Control flow and slice context, mirroring Machine.Step.
-	next := pc + 1
 	switch op {
-	case isa.Jmp:
-		next = int(in.Imm)
 	case isa.SliceStart:
 		r.inSlice = true
-		r.sliceID++
-		d.SliceID = r.sliceID
+		r.sliceID = d.SliceID
 	case isa.SliceEnd:
 		r.inSlice = false
 	case isa.Halt:
 		r.halted = true
 	}
-	if op.IsBranch() && d.Taken {
-		next = int(in.Imm)
-	}
-	d.NextPC = next
-	r.nextPC = next
+	r.cur++
+	r.nextPC = d.NextPC
 	return d, nil
 }
 
@@ -213,19 +186,6 @@ func (r *Replay) RunToSliceEnd(buf []emu.DynInst) ([]emu.DynInst, error) {
 // where wrong paths start) depends on the timing configuration — so they
 // are regenerated exactly as a live machine regenerates them.
 func (r *Replay) Fork(startPC int, inSlice bool, sliceID uint64) emu.WrongPath {
-	if r.segRec != nil {
-		// A new fork means the previous wrong path can never be stepped
-		// again (the core keeps exactly one live shadow); publish its tail.
-		r.segRec.finalize()
-		r.segRec = nil
-	}
-	if r.segs != nil {
-		wp := r.segs.fork(r, startPC, inSlice, sliceID)
-		if rec, ok := wp.(*segRecorder); ok {
-			r.segRec = rec
-		}
-		return wp
-	}
 	return emu.NewShadow(r.prog, r.mem, r.regs, startPC, inSlice, sliceID)
 }
 

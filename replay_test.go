@@ -77,15 +77,12 @@ func TestRunnerTraceSweep(t *testing.T) {
 			emuExecs, st.Simulated)
 	}
 	// The distinct configurations of one workload ran as a single batch
-	// group sharing the trace decode and the wrong-path segment cache.
+	// group sharing the trace decode.
 	if st.Batched != len(sweep) || st.BatchGroups != 1 {
 		t.Fatalf("batch accounting: %+v; want Batched=%d BatchGroups=1", st, len(sweep))
 	}
 	if h := r.BatchHistogram(); h[len(sweep)] != 1 || len(h) != 1 {
 		t.Fatalf("batch histogram %v; want {%d:1}", h, len(sweep))
-	}
-	if st.SegMisses == 0 || st.SegHits == 0 {
-		t.Fatalf("segment cache never exercised across lanes: %+v", st)
 	}
 
 	// The whole group fetched its trace through one singleflight call, so
@@ -134,9 +131,6 @@ func TestRunnerCapturePolicy(t *testing.T) {
 		}
 		st := r.Stats()
 		st.Cached, st.InFlight = 0, 0
-		// Segment-cache counters are a property of the replays' wrong-path
-		// forks, not of the capture policy under test here.
-		st.SegHits, st.SegMisses, st.SegInvalidated = 0, 0, 0
 		if st != want[i] {
 			t.Fatalf("after run %d: %+v, want %+v", i, st, want[i])
 		}
@@ -173,11 +167,10 @@ func TestTraceKeyVersioned(t *testing.T) {
 }
 
 // TestBatchedSweepMatchesSerialReplay pins byte-identity at the API
-// layer: every lane of a batched Runner sweep must equal a serial
-// replayed run of the same options against an independently captured
-// trace with no segment cache attached — so the batch path (shared
-// decode ring, memoized wrong-path segments, lockstep scheduling) is
-// compared end to end against the plain live-shadow replay path.
+// layer: every lane of an N-view batched Runner sweep must equal a
+// serial replayed run — a one-view batch — of the same options against
+// an independently captured trace, so concurrent lanes sharing one
+// decode ring are compared end to end against a lane running alone.
 func TestBatchedSweepMatchesSerialReplay(t *testing.T) {
 	ctx := context.Background()
 	sweep := []Options{

@@ -59,11 +59,6 @@ type Runner struct {
 	// batchHist counts executed groups by lane count (size → groups).
 	batchHist map[int]int
 
-	// segStats aggregates the wrong-path segment caches attached to every
-	// replayed trace (trace.EnsureSegs); written by replays concurrently,
-	// so it is atomic and lives outside mu.
-	segStats trace.SegStats
-
 	// Capture policy state (see wantCapture): traceHint counts live
 	// RunAllContext batches that contain two or more distinct
 	// configurations of the TraceKey, traceSeen records TraceKeys met
@@ -128,14 +123,10 @@ func resultCost(key string, r *Result) int64 {
 }
 
 // traceCost is resultCost for captured traces, dominated by the record
-// streams' backing arrays — plus the trace's wrong-path segment cache,
-// which memsize cannot see through the atomic pointer. Segments accrete
-// after insertion as replays fork wrong paths, so the Runner reprices the
-// trace's entry (memo.Cache.Reprice) after every replayed run; together
-// these keep the trace budget a bound on total resident replay state,
-// not just the record streams.
+// streams' backing arrays. A trace is immutable after capture, so its
+// cost at insertion stays exact for as long as it is resident.
 func traceCost(key string, t *trace.Trace) int64 {
-	return int64(len(key)) + memsize.Of(t) + t.SegBytes()
+	return int64(len(key)) + memsize.Of(t)
 }
 
 // Jobs returns the worker budget.
@@ -172,16 +163,10 @@ type RunnerStats struct {
 	// the serial replay path. BatchHistogram breaks groups down by size.
 	Batched     int
 	BatchGroups int
-	// SegHits / SegMisses / SegInvalidated aggregate the wrong-path
-	// segment caches attached to replayed traces: a hit replayed a
-	// memoized wrong-path segment with zero shadow emulation, a miss
-	// recorded one, and an invalidation rejected a stale segment whose
-	// read-set fingerprint no longer matched the forking replay's state.
-	// SegBypassed counts forks after a trace's cache disabled itself
-	// (invalidations persistently swamping hits — data-dependent wrong
-	// paths that cannot be memoized profitably).
+	// SegHits, SegInvalidated and SegBypassed are always zero. They
+	// counted a wrong-path segment cache that has been removed, and stay
+	// only because the benchmark harness still reads them.
 	SegHits        int64
-	SegMisses      int64
 	SegInvalidated int64
 	SegBypassed    int64
 }
@@ -194,10 +179,6 @@ func (r *Runner) Stats() RunnerStats {
 		Simulated: r.simulated, Cached: r.cached, InFlight: r.inFlight,
 		Captured: r.captured, Replayed: r.replayed,
 		Batched: r.batched, BatchGroups: r.batchGroups,
-		SegHits:        r.segStats.Hits.Load(),
-		SegMisses:      r.segStats.Misses.Load(),
-		SegInvalidated: r.segStats.Invalidated.Load(),
-		SegBypassed:    r.segStats.Bypassed.Load(),
 	}
 }
 
@@ -414,19 +395,11 @@ func (r *Runner) simulate(ctx context.Context, o Options) (*Result, error) {
 	r.mu.Lock()
 	r.replayed++
 	r.mu.Unlock()
-	res, err := runContext(ctx, o, tr)
-	// The replay may have grown the trace's wrong-path segment cache;
-	// fold the new bytes into the trace cache's accounting (see
-	// traceCost).
-	r.traces.Reprice(tk)
-	return res, err
+	return runContext(ctx, o, tr)
 }
 
 // fetchTrace returns the workload's captured trace — from the memo cache,
-// the durable store, or a fresh capture (singleflighted per TraceKey) —
-// with the wrong-path segment cache attached, so every replay of the
-// trace shares memoized segments and reports into the Runner's seg
-// counters.
+// the durable store, or a fresh capture (singleflighted per TraceKey).
 func (r *Runner) fetchTrace(ctx context.Context, n Options) (*trace.Trace, error) {
 	tk := n.TraceKey()
 	tr, terr, _ := r.traces.Do(ctx, tk, func() (*trace.Trace, error) {
@@ -444,11 +417,7 @@ func (r *Runner) fetchTrace(ctx context.Context, n Options) (*trace.Trace, error
 		}
 		return t, err
 	})
-	if terr != nil {
-		return nil, terr
-	}
-	tr.EnsureSegs(0, &r.segStats)
-	return tr, nil
+	return tr, terr
 }
 
 // traceSeenCap bounds the first-sighting set; past it the history is
