@@ -5,10 +5,18 @@
 // compare files to see the history).
 //
 // It can also gate on an earlier report: -baseline fails the run (exit 1)
-// when any shared entry's wall clock regressed by more than -threshold.
-// Wall clock is machine-dependent, so the committed baseline is only
+// when any entry it shares with the baseline
+//   - simulated a different number of cycles (sim_cycles must match
+//     exactly: the simulator is deterministic, so any difference is a
+//     change in simulated behavior),
+//   - allocated more than 5% above the baseline's count, or
+//   - regressed in wall clock by more than -threshold, checked only for
+//     baseline entries of at least ten times the 0.1 s noise floor.
+//
+// Wall clock is machine-dependent, so that part of the gate is only
 // meaningful on comparable hardware (CI uses a fixed runner class and
-// refreshes the baseline whenever it changes).
+// refreshes the baseline whenever it changes). Simulated cycles do not
+// depend on the host, and allocation counts barely do (see allocBand).
 //
 // With -ledger it instead reads a durable store's append-only experiment
 // ledger (ledger.ndjson, written by sfserved -store-dir or any
@@ -347,8 +355,22 @@ func summarizeLedger(path string) error {
 	return nil
 }
 
-// gate compares wall clock against a baseline report; entries present in
-// both must not regress beyond the threshold.
+// Gate limits. Wall clock is gated only on entries of at least
+// wallGateMin seconds in the baseline: ten times the 0.1 s floor below
+// which timer and scheduler noise dominate a percentage comparison.
+// Allocation counts may grow by allocBand: repeated runs of one build on
+// one host spread by at most 0.1%, and the band leaves room for runtime
+// differences between Go releases.
+const (
+	wallGateMin = 1.0
+	allocBand   = 0.05
+)
+
+// gate compares a report against a baseline report, entry by entry, and
+// reports whether any shared entry failed: simulated cycles must repeat
+// exactly, allocations may not grow beyond allocBand, and wall clock may
+// not regress beyond threshold where the baseline entry is long enough
+// to time.
 func gate(rep *Report, baselinePath string, threshold float64) bool {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -359,7 +381,7 @@ func gate(rep *Report, baselinePath string, threshold float64) bool {
 		log.Fatalf("%s: %v", baselinePath, err)
 	}
 	if base.Delta != rep.Delta {
-		log.Printf("warning: baseline delta %d != measured delta %d; wall clocks are not comparable", base.Delta, rep.Delta)
+		log.Printf("warning: baseline delta %d != measured delta %d; entries are not comparable", base.Delta, rep.Delta)
 	}
 	old := map[string]Entry{}
 	for _, e := range base.Entries {
@@ -368,24 +390,44 @@ func gate(rep *Report, baselinePath string, threshold float64) bool {
 	failed := false
 	for _, e := range rep.Entries {
 		b, ok := old[e.Name]
-		if !ok || b.WallSeconds <= 0 {
+		if !ok {
 			continue
 		}
-		// Entries this short are dominated by timer/scheduler noise; a
-		// percentage gate on them would flake. They still appear in the
-		// report for trend-watching.
-		if b.WallSeconds < 0.1 {
-			log.Printf("gate %-12s %8.2fs baseline — too short to gate reliably, skipped", e.Name, b.WallSeconds)
-			continue
+		for _, c := range compareEntry(e, b, threshold) {
+			status := "ok"
+			if !c.ok {
+				status = "FAILED"
+				failed = true
+			}
+			log.Printf("gate %-18s %-7s %s %s", e.Name, c.what, c.detail, status)
 		}
-		ratio := e.WallSeconds / b.WallSeconds
-		status := "ok"
-		if ratio > 1+threshold {
-			status = "REGRESSED"
-			failed = true
-		}
-		log.Printf("gate %-12s %8.2fs vs %8.2fs baseline (%.2fx) %s",
-			e.Name, e.WallSeconds, b.WallSeconds, ratio, status)
 	}
 	return failed
+}
+
+// check is one comparison of a measured entry against its baseline.
+type check struct {
+	what   string
+	detail string
+	ok     bool
+}
+
+// compareEntry runs every comparison the baseline entry supports.
+func compareEntry(e, b Entry, threshold float64) []check {
+	var cs []check
+	if b.SimCycles > 0 {
+		cs = append(cs, check{"cycles", fmt.Sprintf("%d vs %d baseline", e.SimCycles, b.SimCycles),
+			e.SimCycles == b.SimCycles})
+	}
+	if b.Allocs > 0 {
+		ratio := float64(e.Allocs) / float64(b.Allocs)
+		cs = append(cs, check{"allocs", fmt.Sprintf("%d vs %d baseline (%.3fx)", e.Allocs, b.Allocs, ratio),
+			ratio <= 1+allocBand})
+	}
+	if b.WallSeconds >= wallGateMin {
+		ratio := e.WallSeconds / b.WallSeconds
+		cs = append(cs, check{"wall", fmt.Sprintf("%.2fs vs %.2fs baseline (%.2fx)", e.WallSeconds, b.WallSeconds, ratio),
+			ratio <= 1+threshold})
+	}
+	return cs
 }

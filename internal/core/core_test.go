@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/emu"
+	"repro/internal/isa"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -78,9 +79,18 @@ func TestEventHeapOrder(t *testing.T) {
 	}
 }
 
+// fetchUop takes a uop from c's pool, fills its record with d and admits
+// it, as fetch does.
+func fetchUop(c *Core, d emu.DynInst) *uop {
+	u := c.takeUop()
+	u.d = d
+	c.newUop(u, nil)
+	return u
+}
+
 func TestDepRefStaleness(t *testing.T) {
 	c := &Core{}
-	u := c.newUop(emu.DynInst{}, nil)
+	u := fetchUop(c, emu.DynInst{})
 	ref := makeRef(u)
 	u.state = stWaiting
 	if ref.ready(0) {
@@ -97,7 +107,7 @@ func TestDepRefStaleness(t *testing.T) {
 	// Recycle the uop: the stale reference must read as ready.
 	u.state = stCommitted
 	c.freeUop(u)
-	u2 := c.newUop(emu.DynInst{}, nil)
+	u2 := fetchUop(c, emu.DynInst{})
 	u2.state = stWaiting
 	if u2 != u {
 		t.Fatal("pool did not recycle")
@@ -109,13 +119,13 @@ func TestDepRefStaleness(t *testing.T) {
 
 func TestUopPoolResets(t *testing.T) {
 	c := &Core{}
-	u := c.newUop(emu.DynInst{Seq: 7}, nil)
+	u := fetchUop(c, emu.DynInst{Seq: 7})
 	u.mispred = true
 	u.tombstone = true
 	u.ndeps = 3
 	id := u.id
 	c.freeUop(u)
-	u2 := c.newUop(emu.DynInst{Seq: 9}, nil)
+	u2 := fetchUop(c, emu.DynInst{Seq: 9})
 	if u2.mispred || u2.tombstone || u2.ndeps != 0 {
 		t.Fatal("pooled uop state leaked")
 	}
@@ -128,9 +138,14 @@ func TestUopPoolResets(t *testing.T) {
 }
 
 func TestClassPortsCoverage(t *testing.T) {
-	// Every class the issue stage can see must have a port budget.
-	for cl, cap := range classPorts {
-		if cap <= 0 {
+	// Every class the issue stage can see must have a port budget; a
+	// class without one would never issue. Slice markers are dropped at
+	// dispatch, so their class must have none.
+	for cl := isa.Class(0); cl < isa.NumClasses; cl++ {
+		switch n := classPorts[cl]; {
+		case cl == isa.ClassSlice && n != 0:
+			t.Errorf("class %v has %d ports, want 0 (dropped at dispatch)", cl, n)
+		case cl != isa.ClassSlice && n <= 0:
 			t.Errorf("class %v has no ports", cl)
 		}
 	}

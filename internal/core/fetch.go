@@ -106,10 +106,19 @@ func (c *Core) fetchThread(t *thread) {
 }
 
 // enqueue places a fetched uop into the regular frontend queue with the
-// pipeline delay.
+// pipeline delay. Dispatch pops from the front by reslicing, which
+// strands the popped slots; when the tail runs out of room the queue
+// slides back to the start of its backing array, so append reallocates
+// only when the queue itself outgrows the array.
 func (t *thread) enqueue(u *uop) {
 	u.readyFE = t.c.now + int64(t.c.cfg.FrontendDepth)
 	u.state = stFrontend
+	if n := len(t.frontend); n == cap(t.frontend) {
+		if n >= len(t.feBuf) {
+			t.feBuf = make([]*uop, 2*n+16)
+		}
+		t.frontend = t.feBuf[:copy(t.feBuf, t.frontend)]
+	}
 	t.frontend = append(t.frontend, u)
 }
 
@@ -159,11 +168,12 @@ func (c *Core) predictBranch(t *thread, u *uop) (mispred, stop bool) {
 // handles miss detection, slice markers, fences, barriers, and halt.
 // It returns true when fetch must stop for this cycle.
 func (c *Core) fetchNormal(t *thread) bool {
-	d, err := t.m.Step()
-	if err != nil {
+	u := c.takeUop()
+	d := &u.d
+	if err := t.m.Step(d); err != nil {
 		panic(fmt.Sprintf("core %d thread %d: %v", c.id, t.id, err))
 	}
-	u := c.newUop(d, t)
+	c.newUop(u, t)
 	u.age = d.Seq
 	u.reduce = d.Inst.Reduce()
 
@@ -248,8 +258,10 @@ func (c *Core) fetchNormal(t *thread) bool {
 // The direction callback is t.wrongDir, built once per thread (see the
 // field comment for the escape-analysis rationale).
 func (c *Core) fetchWrong(t *thread) bool {
-	d, ok := t.shadow.Step(t.wrongDir)
-	if !ok {
+	u := c.takeUop()
+	d := &u.d
+	if !t.shadow.Step(t.wrongDir, d) {
+		c.untakeUop(u)
 		// The wrong path ran off the program. A conventional miss
 		// keeps fetch stalled until resolution; an in-slice miss that
 		// never reached its slice_end stalls the same way.
@@ -258,7 +270,7 @@ func (c *Core) fetchWrong(t *thread) bool {
 		}
 		return true
 	}
-	u := c.newUop(d, t)
+	c.newUop(u, t)
 	u.wpOf = t.shadowMiss
 	u.age = t.wpAge
 	c.stats.FetchedWrongPath++
@@ -279,9 +291,11 @@ func (c *Core) fetchWrong(t *thread) bool {
 // segment.
 func (c *Core) fetchResolve(t *thread) bool {
 	mi := t.resolving
-	d := mi.seg[mi.fetched]
+	u := c.takeUop()
+	d := &u.d
+	*d = mi.seg[mi.fetched]
 	mi.fetched++
-	u := c.newUop(d, t)
+	c.newUop(u, t)
 	u.age = d.Seq
 	u.reduce = d.Inst.Reduce()
 	u.resolvePath = true

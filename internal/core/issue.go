@@ -57,13 +57,16 @@ func (c *Core) issue() {
 	c.specials = sp
 
 	// Restore dispatch order so the unstable age sort below sees the
-	// same input permutation as the legacy RS scan.
-	slices.SortFunc(ready, func(a, b *uop) int {
-		if a.dispSeq < b.dispSeq {
-			return -1
-		}
-		return 1
-	})
+	// same input permutation as the legacy RS scan. dispSeq is unique,
+	// so a candidate set already in that order needs no sort.
+	if !sortedBy(ready, func(u *uop) uint64 { return u.dispSeq }) {
+		slices.SortFunc(ready, func(a, b *uop) int {
+			if a.dispSeq < b.dispSeq {
+				return -1
+			}
+			return 1
+		})
+	}
 	c.issueFrom(ready)
 	c.ready_ = ready[:0]
 }
@@ -95,19 +98,24 @@ func (c *Core) issueScan() {
 // original scan implementation: slices.SortFunc instantiates the same
 // pdqsort template, so equal-age candidates permute identically given the
 // same input order — without sort.Slice's per-call boxing allocations.
+// Only a set whose ages strictly increase skips the sort: without ties
+// its sorted order is unique, whereas pdqsort may reorder equal ages even
+// in an already non-decreasing input, and that tie order is observable.
 func (c *Core) issueFrom(ready []*uop) {
-	slices.SortFunc(ready, func(a, b *uop) int {
-		if a.age < b.age {
-			return -1
-		}
-		if a.age > b.age {
-			return 1
-		}
-		return 0
-	})
+	if !sortedBy(ready, func(u *uop) uint64 { return u.age }) {
+		slices.SortFunc(ready, func(a, b *uop) int {
+			if a.age < b.age {
+				return -1
+			}
+			if a.age > b.age {
+				return 1
+			}
+			return 0
+		})
+	}
 
 	budget := c.cfg.IssueWidth
-	var ports [16]int
+	var ports [isa.NumClasses]int
 	for _, u := range ready {
 		if budget == 0 {
 			break
@@ -120,6 +128,16 @@ func (c *Core) issueFrom(ready []*uop) {
 		budget--
 		c.issueOne(u)
 	}
+}
+
+// sortedBy reports whether key strictly increases along us.
+func sortedBy(us []*uop, key func(*uop) uint64) bool {
+	for i := 1; i < len(us); i++ {
+		if key(us[i-1]) >= key(us[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // ready reports whether all of u's operands are available and any

@@ -185,7 +185,8 @@ func (c *Core) partialFlush(t *thread, u *uop, depth int) {
 	// 1. Unlink dispatched younger instructions (linked-list order is
 	// logical order, so resolve-path instructions of older misses —
 	// spliced before u — survive) and release the first depth of them.
-	victims := t.list.RemoveRangeAfter(&u.node)
+	victims := t.list.RemoveRangeAfter(&u.node, c.victimBuf[:0])
+	c.victimBuf = victims
 	staged := depth > 0 && len(victims) > depth
 	if !staged {
 		depth = len(victims)
@@ -240,7 +241,7 @@ func (c *Core) partialFlush(t *thread, u *uop, depth int) {
 	// flushed or recycled producers resolve as ready automatically.
 	if u.ck != nil {
 		t.rt.Restore(*u.ck)
-		u.ck = nil
+		c.putCk(u)
 	} else if u.miss != nil && u.miss.ckValid {
 		t.rt.Restore(u.miss.ck)
 	}

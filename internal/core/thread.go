@@ -35,6 +35,8 @@ type thread struct {
 	fq *frq.Queue[*missInfo]
 
 	frontend []*uop
+	// feBuf spans frontend's whole backing array (see enqueue).
+	feBuf []*uop
 	// resolveMisses lists the misses with fetched-but-undispatched
 	// resolve-path instructions (each miss queues them in missInfo.feq —
 	// the resolve channel, one FIFO per miss).

@@ -20,14 +20,15 @@ const (
 )
 
 // uop is one in-flight micro-op. uops are pooled; id disambiguates
-// recycled objects (see depRef).
+// recycled objects (see depRef). Recycling zeroes the whole struct, so
+// the one-byte fields are grouped at the end, where they share a word
+// instead of each padding one out.
 type uop struct {
 	id uint64
 	d  emu.DynInst
 	t  *thread
 
-	node  rob.Node[*uop]
-	state uopState
+	node rob.Node[*uop]
 
 	// Dependences: producers of the source registers plus, for loads,
 	// the store being forwarded from.
@@ -58,18 +59,12 @@ type uop struct {
 	age uint64
 
 	// Branch bookkeeping.
-	pred      bpred.Pred
-	predTaken bool
-	mispred   bool
-	miss      *missInfo
+	pred bpred.Pred
+	miss *missInfo
 
 	// fwdStore is the store this load forwards from, when any.
 	fwdStore depRef
 
-	// resolvePath marks correct-path instructions fetched to resolve an
-	// in-slice miss; they may use reserved resources (§4.7).
-	resolvePath bool
-	reduce      bool
 	// wpOf links a wrong-path uop to the in-slice miss it belongs to
 	// (nil for conventional wrong paths).
 	wpOf *missInfo
@@ -84,6 +79,17 @@ type uop struct {
 	// ck is the rename checkpoint taken at dispatch of a branch known
 	// to be mispredicted (conventional recovery restores it).
 	ck *renameSnapshot
+
+	state uopState
+
+	// Branch bookkeeping flags.
+	predTaken bool
+	mispred   bool
+
+	// resolvePath marks correct-path instructions fetched to resolve an
+	// in-slice miss; they may use reserved resources (§4.7).
+	resolvePath bool
+	reduce      bool
 	// barrierOK is set when the simulator releases this barrier uop.
 	barrierOK bool
 	// tombstone marks a splice cursor that has retired (resources
@@ -270,29 +276,36 @@ func (c *Core) schedule(u *uop, at int64) {
 	c.events.push(event{at: at, u: u, id: u.id})
 }
 
-// uop pool.
+// uop pool. Fetch takes a reset uop with takeUop, has the frontend step
+// straight into its record u.d, and then admits it with newUop; a step
+// that produced nothing (a dead wrong path) hands the uop back with
+// untakeUop, uncounted and without consuming an id.
 
-func (c *Core) newUop(d emu.DynInst, t *thread) *uop {
-	var u *uop
-	if n := len(c.pool); n > 0 {
-		u = c.pool[n-1]
-		c.pool = c.pool[:n-1]
-		w := u.waiters
-		*u = uop{}
-		u.waiters = w[:0]
-	} else {
-		u = &uop{}
+func (c *Core) takeUop() *uop {
+	n := len(c.pool)
+	if n == 0 {
+		return &uop{}
 	}
+	u := c.pool[n-1]
+	c.pool = c.pool[:n-1]
+	w := u.waiters
+	*u = uop{}
+	u.waiters = w[:0]
+	return u
+}
+
+func (c *Core) untakeUop(u *uop) { c.pool = append(c.pool, u) }
+
+// newUop admits a taken uop whose record has been filled for thread t.
+func (c *Core) newUop(u *uop, t *thread) {
 	c.nextID++
 	u.id = c.nextID
-	u.d = d
 	u.t = t
 	u.node.Val = u
 	c.stats.UopsFetched++
 	if c.rec != nil && c.rec.TraceUops {
 		u.fetchCycle = c.now
 	}
-	return u
 }
 
 func (c *Core) freeUop(u *uop) {
@@ -309,10 +322,32 @@ func (c *Core) freeUop(u *uop) {
 		u.lowConf = false
 		u.t.lowConfOut--
 	}
+	if u.ck != nil {
+		c.putCk(u)
+	}
 	u.miss = nil
 	u.t = nil
 	u.waiters = u.waiters[:0]
 	c.pool = append(c.pool, u)
+}
+
+// Checkpoint pool for uop.ck: a conventional-recovery checkpoint is
+// needed from its branch's dispatch until the branch recovers or is
+// freed, whichever comes first.
+
+func (c *Core) takeCk() *renameSnapshot {
+	if n := len(c.ckPool); n > 0 {
+		ck := c.ckPool[n-1]
+		c.ckPool = c.ckPool[:n-1]
+		return ck
+	}
+	return new(renameSnapshot)
+}
+
+// putCk returns u's checkpoint to the pool.
+func (c *Core) putCk(u *uop) {
+	c.ckPool = append(c.ckPool, u.ck)
+	u.ck = nil
 }
 
 // Segment-buffer pool: the append target handed to RunToSliceEnd at miss

@@ -15,19 +15,21 @@ import (
 )
 
 // DynInst is one dynamic instruction: a static instruction plus everything
-// the timing model needs to know about this execution of it.
+// the timing model needs to know about this execution of it. The flags
+// sit together at the end so the record carries no padding between them
+// (it is copied per fetched instruction).
 type DynInst struct {
-	Seq    uint64   // program-order sequence number (correct path only)
-	PC     int      // code index of the instruction
-	Inst   isa.Inst // the static instruction
-	NextPC int      // PC of the dynamically next instruction
-	Taken  bool     // branch outcome (conditional branches)
+	Seq     uint64   // program-order sequence number (correct path only)
+	PC      int      // code index of the instruction
+	Inst    isa.Inst // the static instruction
+	NextPC  int      // PC of the dynamically next instruction
+	Addr    uint64   // effective address (memory ops)
+	SliceID uint64   // which dynamic slice instance (valid when InSlice)
 
-	Addr    uint64 // effective address (memory ops)
-	MemOOB  bool   // wrong-path access fell outside data memory
-	InSlice bool   // instruction lies between slice_start and slice_end
-	SliceID uint64 // which dynamic slice instance (valid when InSlice)
-	Wrong   bool   // produced by the wrong-path engine
+	Taken   bool // branch outcome (conditional branches)
+	MemOOB  bool // wrong-path access fell outside data memory
+	InSlice bool // instruction lies between slice_start and slice_end
+	Wrong   bool // produced by the wrong-path engine
 }
 
 // IsBranch reports whether the instruction is a conditional branch.

@@ -126,10 +126,10 @@ func TestMachineFaults(t *testing.T) {
 	b2 := program.NewBuilder("halt")
 	b2.Halt()
 	m2 := New(b2.Build(), nil)
-	if _, err := m2.Step(); err != nil {
+	if _, err := step(m2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m2.Step(); err == nil {
+	if _, err := step(m2); err == nil {
 		t.Fatal("step after halt should fail")
 	}
 }
@@ -142,8 +142,8 @@ func TestDeterminism(t *testing.T) {
 		_, mem2, _ := buildArith()
 		m1, m2 := New(p, mem1), New(p, mem2)
 		for !m1.Halted {
-			d1, err1 := m1.Step()
-			d2, err2 := m2.Step()
+			d1, err1 := step(m1)
+			d2, err2 := step(m2)
 			if err1 != nil || err2 != nil {
 				return false
 			}
@@ -193,13 +193,13 @@ func TestRunToSliceEnd(t *testing.T) {
 	m := New(p, mem)
 	// Step until inside the first slice (after the in-slice branch).
 	for !m.InSlice() {
-		if _, err := m.Step(); err != nil {
+		if _, err := step(m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Execute the branch inside the slice.
 	for {
-		d, err := m.Step()
+		d, err := step(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +242,7 @@ func TestShadowIsolation(t *testing.T) {
 	m := New(p, mem)
 	// Run to just after the first in-slice branch.
 	for {
-		d, err := m.Step()
+		d, err := step(m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +258,7 @@ func TestShadowIsolation(t *testing.T) {
 	s := m.Shadow(m.PC, true, 1)
 	dir := func(pc int, in isa.Inst, actual bool) bool { return false }
 	for i := 0; i < 50 && !s.Dead(); i++ {
-		if _, ok := s.Step(dir); !ok {
+		if _, ok := wrongStep(s, dir); !ok {
 			break
 		}
 	}
@@ -290,7 +290,7 @@ func TestShadowForwarding(t *testing.T) {
 	dir := func(int, isa.Inst, bool) bool { return false }
 	var lastLd DynInst
 	for !s.Dead() {
-		d, ok := s.Step(dir)
+		d, ok := wrongStep(s, dir)
 		if !ok {
 			break
 		}
@@ -319,7 +319,7 @@ func TestShadowOOB(t *testing.T) {
 	dir := func(int, isa.Inst, bool) bool { return false }
 	oob := false
 	for !s.Dead() {
-		d, ok := s.Step(dir)
+		d, ok := wrongStep(s, dir)
 		if !ok {
 			break
 		}
@@ -440,4 +440,18 @@ func TestRunAllBarrierPhases(t *testing.T) {
 	if got := program.ReadU64(mem, buf+8); got != 77 {
 		t.Fatalf("reader saw %d, want 77", got)
 	}
+}
+
+// step and wrongStep return each record as a fresh value, for tests that
+// compare or keep records.
+func step(m *Machine) (DynInst, error) {
+	var d DynInst
+	err := m.Step(&d)
+	return d, err
+}
+
+func wrongStep(w WrongPath, dir BranchDir) (DynInst, bool) {
+	var d DynInst
+	ok := w.Step(dir, &d)
+	return d, ok
 }

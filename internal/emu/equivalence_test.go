@@ -100,7 +100,7 @@ func TestShadowMatchesMachine(t *testing.T) {
 		s := ms.Shadow(0, false, 0)
 		dir := func(int, isa.Inst, bool) bool { return false }
 		for !s.Dead() {
-			if _, ok := s.Step(dir); !ok {
+			if _, ok := wrongStep(s, dir); !ok {
 				break
 			}
 		}
@@ -152,7 +152,7 @@ func TestShadowBranchesFollowDirector(t *testing.T) {
 		s := m.Shadow(0, false, 0)
 		dir := func(int, isa.Inst, bool) bool { return force }
 		for !s.Dead() {
-			if _, ok := s.Step(dir); !ok {
+			if _, ok := wrongStep(s, dir); !ok {
 				break
 			}
 		}

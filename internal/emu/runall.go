@@ -13,6 +13,7 @@ import (
 // workloads (no timing). Returns the total instruction count.
 func RunAll(machines []*Machine, maxInsts uint64) (uint64, error) {
 	var total uint64
+	var d DynInst
 	for {
 		alive := false
 		for _, m := range machines {
@@ -21,8 +22,7 @@ func RunAll(machines []*Machine, maxInsts uint64) (uint64, error) {
 			}
 			alive = true
 			for !m.Halted {
-				d, err := m.Step()
-				if err != nil {
+				if err := m.Step(&d); err != nil {
 					return total, err
 				}
 				total++

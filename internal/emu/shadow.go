@@ -36,20 +36,27 @@ type Shadow struct {
 // begins fetching at startPC. inSlice/sliceID seed the slice context the
 // wrong path starts in (the context of the mispredicted branch).
 func (m *Machine) Shadow(startPC int, inSlice bool, sliceID uint64) *Shadow {
-	return NewShadow(m.Prog, m.Mem, m.Regs, startPC, inSlice, sliceID)
+	s := new(Shadow)
+	s.Refork(m.Prog, m.Mem, &m.Regs, startPC, inSlice, sliceID)
+	return s
 }
 
-// NewShadow builds a wrong-path engine from an explicit architectural
-// snapshot (program, memory view, register file). It is the fork entry
-// point for frontends that maintain architectural state outside a Machine,
-// such as the trace replayer.
-func NewShadow(prog *isa.Program, mem []byte, regs [isa.NumRegs]uint64,
-	startPC int, inSlice bool, sliceID uint64) *Shadow {
-	return &Shadow{
+// Refork restarts s as a wrong-path engine forked from an explicit
+// architectural snapshot (program, memory view, register file), keeping
+// the storage of its store overlay; a zero Shadow is ready for it. It is
+// the fork entry point for frontends, including those that keep
+// architectural state outside a Machine such as the trace replayer: each
+// recycles the engine its previous Fork returned, so s must no longer be
+// in use.
+func (s *Shadow) Refork(prog *isa.Program, mem []byte, regs *[isa.NumRegs]uint64,
+	startPC int, inSlice bool, sliceID uint64) {
+	clear(s.overlay)
+	*s = Shadow{
 		prog:    prog,
 		mem:     mem,
-		regs:    regs,
+		regs:    *regs,
 		pc:      startPC,
+		overlay: s.overlay,
 		inSlice: inSlice,
 		sliceID: sliceID,
 	}
@@ -112,22 +119,26 @@ func (s *Shadow) store(addr uint64, size int, v uint64) bool {
 	return true
 }
 
-// Step executes one wrong-path instruction. Conditional branches follow
-// the direction dir returns (the predicted direction). ok is false when
-// the shadow is dead; the caller must stop fetching from it.
-func (s *Shadow) Step(dir BranchDir) (DynInst, bool) {
+// Step executes one wrong-path instruction and writes its record into d,
+// overwriting every field (see WrongPath.Step). Conditional branches
+// follow the direction dir returns (the predicted direction). It returns
+// false, leaving d untouched, when the shadow is dead; the caller must
+// stop fetching from it.
+func (s *Shadow) Step(dir BranchDir, d *DynInst) bool {
 	if s.dead || s.pc < 0 || s.pc >= len(s.prog.Code) {
 		s.dead = true
-		return DynInst{}, false
+		return false
 	}
 	in := s.prog.Code[s.pc]
-	d := DynInst{
-		PC:      s.pc,
-		Inst:    in,
-		InSlice: s.inSlice,
-		SliceID: s.sliceID,
-		Wrong:   true,
-	}
+	d.Seq = 0
+	d.PC = s.pc
+	d.Inst = in
+	d.Taken = false
+	d.Addr = 0
+	d.MemOOB = false
+	d.InSlice = s.inSlice
+	d.SliceID = s.sliceID
+	d.Wrong = true
 	next := s.pc + 1
 	s1, s2 := s.get(in.Src1), s.get(in.Src2)
 
@@ -284,5 +295,5 @@ func (s *Shadow) Step(dir BranchDir) (DynInst, bool) {
 	if s.pc < 0 || s.pc >= len(s.prog.Code) {
 		s.dead = true
 	}
-	return d, true
+	return true
 }

@@ -45,6 +45,7 @@ func runRef(c *Case) ([]byte, uint64, error) {
 		ms[i] = m
 	}
 	var commits, total uint64
+	var d emu.DynInst
 	for {
 		alive := false
 		for _, m := range ms {
@@ -53,8 +54,7 @@ func runRef(c *Case) ([]byte, uint64, error) {
 			}
 			alive = true
 			for !m.Halted {
-				d, err := m.Step()
-				if err != nil {
+				if err := m.Step(&d); err != nil {
 					return nil, 0, err
 				}
 				if total++; total > refBudget {

@@ -283,19 +283,40 @@ const (
 	ClassSlice
 	ClassBarrier
 	ClassHalt
+
+	// NumClasses is the class count: per-class tables index by Class
+	// below it.
+	NumClasses
 )
 
-var classNames = map[Class]string{
+var classNames = [NumClasses]string{
 	ClassNop: "nop", ClassIntAlu: "alu", ClassIntMul: "mul",
 	ClassIntDiv: "div", ClassFp: "fp", ClassFpDiv: "fpdiv",
 	ClassLoad: "load", ClassStore: "store", ClassAtomic: "atomic", ClassBranch: "branch",
 	ClassSlice: "slice", ClassBarrier: "barrier", ClassHalt: "halt",
 }
 
-func (c Class) String() string { return classNames[c] }
+func (c Class) String() string {
+	if c < NumClasses {
+		return classNames[c]
+	}
+	return fmt.Sprintf("class(%d)", uint8(c))
+}
+
+// opClass is Op.Class as a table, built once from classOf. It covers
+// every uint8 value, so an undefined op reads the switch's default
+// (ClassIntAlu) without a bounds check.
+var opClass = func() (t [256]Class) {
+	for op := range t {
+		t[op] = classOf(Op(op))
+	}
+	return t
+}()
 
 // Class returns the execution class of op.
-func (op Op) Class() Class {
+func (op Op) Class() Class { return opClass[op] }
+
+func classOf(op Op) Class {
 	switch {
 	case op == Nop:
 		return ClassNop

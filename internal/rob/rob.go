@@ -94,9 +94,9 @@ func (l *List[T]) Remove(n *Node[T]) {
 }
 
 // RemoveRangeAfter unlinks every entry younger than n (conventional full
-// flush after a mispredicted branch) and returns them oldest-first.
-func (l *List[T]) RemoveRangeAfter(n *Node[T]) []*Node[T] {
-	var out []*Node[T]
+// flush after a mispredicted branch) and appends them to out
+// oldest-first, so a caller can reuse one buffer across flushes.
+func (l *List[T]) RemoveRangeAfter(n *Node[T], out []*Node[T]) []*Node[T] {
 	for cur := n.Next; cur != nil; {
 		next := cur.Next
 		l.Remove(cur)

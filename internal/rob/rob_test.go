@@ -69,7 +69,7 @@ func TestRemoveRangeAfter(t *testing.T) {
 	for _, n := range ns {
 		l.PushBack(n)
 	}
-	victims := l.RemoveRangeAfter(ns[2])
+	victims := l.RemoveRangeAfter(ns[2], nil)
 	if len(victims) != 3 {
 		t.Fatalf("flushed %d, want 3", len(victims))
 	}

@@ -29,7 +29,7 @@ func TestBatchViewsMatchSerial(t *testing.T) {
 		all interface{}
 	}
 	for !serial.Halted() {
-		d, err := serial.Step()
+		d, err := step(serial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestBatchViewsMatchSerial(t *testing.T) {
 	for pos[0] < len(want) || pos[1] < len(want) || pos[2] < len(want) {
 		for i, stride := range []int{3, 2, 1} {
 			for s := 0; s < stride && pos[i] < len(want); s++ {
-				d, err := views[i].Step()
+				d, err := step(views[i])
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -71,7 +71,7 @@ func TestBatchViewsMatchSerial(t *testing.T) {
 		if !v.Halted() || !v.Done() {
 			t.Fatalf("view %d not finished (halted=%v done=%v)", i, v.Halted(), v.Done())
 		}
-		if _, err := v.Step(); err == nil {
+		if _, err := step(v); err == nil {
 			t.Fatalf("view %d: Step after halt should error", i)
 		}
 		if !bytes.Equal(mems[i], serialMem) {
@@ -109,7 +109,7 @@ func TestBatchWindowConcurrentViews(t *testing.T) {
 	fastErr := make(chan error, 1)
 	go func() {
 		for !va.Halted() {
-			if _, err := va.Step(); err != nil {
+			if _, err := step(va); err != nil {
 				fastErr <- err
 				return
 			}
@@ -123,11 +123,11 @@ func TestBatchWindowConcurrentViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	for !vb.Halted() {
-		got, err := vb.Step()
+		got, err := step(vb)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantD, err := serial.Step()
+		wantD, err := step(serial)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -167,7 +167,7 @@ func TestBatchDropUnblocksWindow(t *testing.T) {
 	vb := b.NewView(append([]byte(nil), img...))
 	b.Drop(vb)
 	for !va.Halted() {
-		if _, err := va.Step(); err != nil {
+		if _, err := step(va); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -36,7 +36,7 @@ func TestEncodeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for !r.Halted() {
-		if _, err := r.Step(); err != nil {
+		if _, err := step(r); err != nil {
 			t.Fatal(err)
 		}
 	}

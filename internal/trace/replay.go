@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/emu"
 	"repro/internal/isa"
@@ -37,6 +38,8 @@ type Replay struct {
 	halted  bool
 	inSlice bool
 	sliceID uint64
+
+	wp *emu.Shadow // wrong-path engine Fork recycles
 
 	// batch supplies the decoded records; decoded is the view's local
 	// snapshot of its decode head (records below it are read lock-free);
@@ -94,25 +97,26 @@ func (r *Replay) store(addr uint64, size int, v uint64) error {
 // architectural effects (register write, memory store) to the replay's
 // state, mirroring Machine.Step record for record. The decoded record
 // comes from the batch's shared ring; only the view's own state (memory
-// image, register file, slice context, halt) is advanced here.
-func (r *Replay) Step() (emu.DynInst, error) {
+// image, register file, slice context, halt) is advanced here. The
+// record is copied whole into d, so every field is overwritten.
+func (r *Replay) Step(d *emu.DynInst) error {
 	if r.halted {
-		return emu.DynInst{}, fmt.Errorf("%s: step after halt", r.prog.Name)
+		return fmt.Errorf("%s: step after halt", r.prog.Name)
 	}
 	if r.cur >= len(r.tr.pcs) {
-		return emu.DynInst{}, fmt.Errorf("trace: %s: stream exhausted without halt at record %d",
+		return fmt.Errorf("trace: %s: stream exhausted without halt at record %d",
 			r.prog.Name, r.cur)
 	}
 	if r.cur >= r.decoded {
 		if err := r.syncBatch(); err != nil {
-			return emu.DynInst{}, err
+			return err
 		}
 	} else if r.cur-r.pubCur >= batchPubChunk {
 		r.publish()
 	}
 	rec := &r.batch.ring[r.cur&r.batch.mask]
-	d := rec.d
-	in := d.Inst
+	*d = rec.d
+	in := &d.Inst
 	op := in.Op
 
 	// Memory effects first: stores read their data register, atomics read
@@ -122,13 +126,13 @@ func (r *Replay) Step() (emu.DynInst, error) {
 	switch {
 	case op.IsStore():
 		if err := r.store(d.Addr, op.MemSize(), r.get(in.Val)); err != nil {
-			return d, err
+			return err
 		}
 	case op.IsAtomic():
 		size := op.MemSize()
 		old, err := r.load(d.Addr, size)
 		if err != nil {
-			return d, err
+			return err
 		}
 		nv := old + r.get(in.Val)
 		switch op {
@@ -136,7 +140,7 @@ func (r *Replay) Step() (emu.DynInst, error) {
 			nv = min(old, r.get(in.Val))
 		}
 		if err := r.store(d.Addr, size, nv); err != nil {
-			return d, err
+			return err
 		}
 	}
 	if rec.fl&flagVal != 0 {
@@ -153,7 +157,7 @@ func (r *Replay) Step() (emu.DynInst, error) {
 	}
 	r.cur++
 	r.nextPC = d.NextPC
-	return d, nil
+	return nil
 }
 
 // RunToSliceEnd advances through the remainder of the current slice
@@ -166,11 +170,11 @@ func (r *Replay) RunToSliceEnd(buf []emu.DynInst) ([]emu.DynInst, error) {
 	}
 	id := r.sliceID
 	for {
-		d, err := r.Step()
-		if err != nil {
-			return buf, err
+		buf = slices.Grow(buf, 1)[:len(buf)+1]
+		d := &buf[len(buf)-1]
+		if err := r.Step(d); err != nil {
+			return buf[:len(buf)-1], err
 		}
-		buf = append(buf, d)
 		if d.Inst.Op == isa.SliceEnd && d.SliceID == id {
 			return buf, nil
 		}
@@ -184,9 +188,14 @@ func (r *Replay) RunToSliceEnd(buf []emu.DynInst) ([]emu.DynInst, error) {
 // architectural state. Wrong paths are the one part of execution that
 // cannot come from the trace — which branches mispredict (and therefore
 // where wrong paths start) depends on the timing configuration — so they
-// are regenerated exactly as a live machine regenerates them.
+// are regenerated exactly as a live machine regenerates them. Like the
+// live frontend, it recycles the engine of its previous fork.
 func (r *Replay) Fork(startPC int, inSlice bool, sliceID uint64) emu.WrongPath {
-	return emu.NewShadow(r.prog, r.mem, r.regs, startPC, inSlice, sliceID)
+	if r.wp == nil {
+		r.wp = new(emu.Shadow)
+	}
+	r.wp.Refork(r.prog, r.mem, &r.regs, startPC, inSlice, sliceID)
+	return r.wp
 }
 
 // Halted reports whether the stream's Halt has been consumed.

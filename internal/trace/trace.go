@@ -17,7 +17,7 @@
 // The destination-value stream is what makes replay a full frontend
 // rather than a passive tape: Replay maintains the architectural register
 // file and memory image by applying the recorded values and stores in
-// program order, so it can fork wrong-path engines (emu.NewShadow) from
+// program order, so it can fork wrong-path engines (emu.Shadow.Refork) from
 // the exact state a live machine would have at any mispredicted branch.
 // This matters because the set of mispredicted branches is
 // timing-dependent — predictor choice, FRQ occupancy, and resolution
@@ -95,6 +95,7 @@ func Capture(ctx context.Context, prog *isa.Program, mem []byte) (*Trace, error)
 		done = ctx.Done()
 	}
 	m := emu.New(prog, mem)
+	var d emu.DynInst
 	for !m.Halted {
 		if done != nil && len(t.pcs)%captureCtxCheck == 0 {
 			select {
@@ -104,8 +105,7 @@ func Capture(ctx context.Context, prog *isa.Program, mem []byte) (*Trace, error)
 			default:
 			}
 		}
-		d, err := m.Step()
-		if err != nil {
+		if err := m.Step(&d); err != nil {
 			return nil, fmt.Errorf("trace: capturing %s: %w", prog.Name, err)
 		}
 		var fl uint8

@@ -85,11 +85,11 @@ func TestReplayMatchesMachine(t *testing.T) {
 		if r.NextPC() != m.PC {
 			t.Fatalf("NextPC diverges: replay %d, machine %d", r.NextPC(), m.PC)
 		}
-		want, err := m.Step()
+		want, err := step(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.Step()
+		got, err := step(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestReplayMatchesMachine(t *testing.T) {
 	if !r.Halted() || !r.Done() {
 		t.Fatalf("machine halted but replay is not (halted=%v done=%v)", r.Halted(), r.Done())
 	}
-	if _, err := r.Step(); err == nil {
+	if _, err := step(r); err == nil {
 		t.Fatal("Step after halt should error")
 	}
 	if !bytes.Equal(repMem, liveMem) || !bytes.Equal(repMem, capMem) {
@@ -126,11 +126,11 @@ func TestReplayRunToSliceEndAndFork(t *testing.T) {
 
 	forks := 0
 	for !m.Halted {
-		want, err := m.Step()
+		want, err := step(m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := r.Step()
+		got, err := step(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,8 +161,8 @@ func TestReplayRunToSliceEndAndFork(t *testing.T) {
 		ws := emu.AsFrontend(m).Fork(wrongPC, true, want.SliceID)
 		gs := r.Fork(wrongPC, true, want.SliceID)
 		for i := 0; i < 50; i++ {
-			wd, wok := ws.Step(dir)
-			gd, gok := gs.Step(dir)
+			wd, wok := wrongStep(ws, dir)
+			gd, gok := wrongStep(gs, dir)
 			if wok != gok || !reflect.DeepEqual(gd, wd) {
 				t.Fatalf("wrong-path record %d diverges after branch #%d", i, want.Seq)
 			}
@@ -223,4 +223,18 @@ func TestCaptureCanceled(t *testing.T) {
 	if _, err := Capture(ctx, prog, img); err == nil {
 		t.Fatal("capture with canceled context succeeded")
 	}
+}
+
+// step and wrongStep return each record as a fresh value, for tests that
+// compare or keep records.
+func step(s interface{ Step(*emu.DynInst) error }) (emu.DynInst, error) {
+	var d emu.DynInst
+	err := s.Step(&d)
+	return d, err
+}
+
+func wrongStep(w emu.WrongPath, dir emu.BranchDir) (emu.DynInst, bool) {
+	var d emu.DynInst
+	ok := w.Step(dir, &d)
+	return d, ok
 }
