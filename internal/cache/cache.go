@@ -60,19 +60,23 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
+// line is one cache line's state; the flags share the last word.
 type line struct {
-	valid   bool
 	tag     uint64
-	dirty   bool
 	lru     uint64
 	readyAt int64
+	valid   bool
+	dirty   bool
 }
 
 // Cache is one set-associative cache level.
 type Cache struct {
-	cfg     Config
-	sets    []([]line)
-	numSets uint64
+	cfg Config
+	// lines holds every set back to back, Ways lines each; set i is
+	// lines[i*Ways : (i+1)*Ways]. setMask is numSets-1 (numSets is a
+	// power of two).
+	lines   []line
+	setMask uint64
 	shift   uint
 	next    Level
 	clock   uint64
@@ -119,13 +123,10 @@ func New(cfg Config, next Level) *Cache {
 	}
 	c := &Cache{
 		cfg:     cfg,
-		sets:    make([][]line, numSets),
-		numSets: uint64(numSets),
+		lines:   make([]line, numSets*cfg.Ways),
+		setMask: uint64(numSets - 1),
 		shift:   shift,
 		next:    next,
-	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
 	}
 	if cfg.StridePrefetch {
 		c.stride = make(map[uint64]*strideEntry)
@@ -142,8 +143,14 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Config returns the level's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) setIndex(addr uint64) uint64 { return (addr >> c.shift) % c.numSets }
-func (c *Cache) tagOf(addr uint64) uint64    { return addr >> c.shift }
+func (c *Cache) tagOf(addr uint64) uint64 { return addr >> c.shift }
+
+// set returns the ways of the set addr maps to.
+func (c *Cache) set(addr uint64) []line {
+	w := uint64(c.cfg.Ways)
+	i := ((addr >> c.shift) & c.setMask) * w
+	return c.lines[i : i+w : i+w]
+}
 
 // lookup returns the way holding addr's line, or -1.
 func (c *Cache) lookup(set []line, tag uint64) int {
@@ -223,7 +230,7 @@ func (c *Cache) trackMiss(doneAt int64) {
 func (c *Cache) Access(addr uint64, now int64, write, prefetch bool) int64 {
 	now += int64(c.cfg.ExtraLatency)
 	tag := c.tagOf(addr)
-	set := c.sets[c.setIndex(addr)]
+	set := c.set(addr)
 	c.clock++
 	if !prefetch {
 		c.stats.Accesses++
@@ -270,7 +277,7 @@ func (c *Cache) Access(addr uint64, now int64, write, prefetch bool) int64 {
 // install places addr's line into its set, evicting LRU.
 func (c *Cache) install(addr uint64, readyAt int64, dirty bool) {
 	tag := c.tagOf(addr)
-	set := c.sets[c.setIndex(addr)]
+	set := c.set(addr)
 	if w := c.lookup(set, tag); w >= 0 {
 		// Raced install (e.g. prefetch after demand): keep earliest.
 		if set[w].readyAt > readyAt {
@@ -339,7 +346,7 @@ func (c *Cache) AccessPC(addr uint64, pc uint64, now int64, write bool) int64 {
 
 // Contains reports whether addr's line is present (test helper).
 func (c *Cache) Contains(addr uint64) bool {
-	return c.lookup(c.sets[c.setIndex(addr)], c.tagOf(addr)) >= 0
+	return c.lookup(c.set(addr), c.tagOf(addr)) >= 0
 }
 
 func (c *Cache) String() string {

@@ -23,6 +23,7 @@ type Core struct {
 	rec *flight.Recorder
 
 	threads []*thread
+	running int // threads that have not committed their halt
 
 	// policy is the configured mispredict-recovery policy (policy.go).
 	// selEligible caches policy.SelectiveEligible() for the fetch and
@@ -48,19 +49,21 @@ type Core struct {
 	// readyQ holds uops whose operands are all available, awaiting an
 	// issue port; specials holds operand-ready uops whose issue is gated
 	// on a polled condition (reduce-at-head, barrier release).
-	readyQ       []readyRef
-	specials     []readyRef
-	ready_       []*uop      // per-cycle scratch for age-sorted ready instructions
-	resolveCands []*missInfo // per-cycle scratch for resolve-dispatch ordering
-	longUntil    []int64     // completion times of in-flight long-latency loads
-	events       eventHeap
-	pool         []*uop
-	segPool      []*segBuf
-	victimBuf    []*rob.Node[*uop] // reused by partialFlush's victim walk
-	ckPool       []*renameSnapshot // recycled uop.ck checkpoints
-	nextID       uint64
-	dispSeqCtr   uint64 // dispatch-order tie-break counter
-	forceCyc     bool   // cfg.ForceCycleAccurate cached
+	readyQ     []readyRef
+	specials   []readyRef
+	ready_     []*uop  // per-cycle scratch for age-sorted ready instructions
+	longUntil  []int64 // completion times of in-flight long-latency loads
+	longMin    int64   // earliest entry of longUntil (farFuture when empty)
+	events     eventHeap
+	pool       []*uop
+	segPool    []*segBuf
+	rtblPool   []*renameTable    // recycled missInfo.rtbl tables
+	feqPool    [][]*uop          // recycled missInfo.feq queues
+	victimBuf  []*rob.Node[*uop] // reused by partialFlush's victim walk
+	ckPool     []*renameSnapshot // recycled uop.ck checkpoints
+	nextID     uint64
+	dispSeqCtr uint64 // dispatch-order tie-break counter
+	forceCyc   bool   // cfg.ForceCycleAccurate cached
 
 	now                int64
 	stats              Stats
@@ -111,12 +114,14 @@ func NewCoreFrontends(id int, cfg Config, hier *cache.Hierarchy, fes []emu.Front
 		space:    rob.NewSpace(cfg.ROBSize, cfg.ROBBlockSize),
 		traceOn:  cfg.Trace != nil,
 		forceCyc: cfg.ForceCycleAccurate,
+		longMin:  farFuture,
 	}
 	c.selEligible = pol.SelectiveEligible()
 	c.polFetch, _ = pol.(fetchHooks)
 	for i, fe := range fes {
 		c.threads = append(c.threads, newThread(i, c, fe))
 	}
+	c.running = len(c.threads)
 	return c, nil
 }
 
@@ -124,14 +129,7 @@ func NewCoreFrontends(id int, cfg Config, hier *cache.Hierarchy, fes []emu.Front
 func (c *Core) Stats() *Stats { return &c.stats }
 
 // Done reports whether every thread has committed its halt.
-func (c *Core) Done() bool {
-	for _, t := range c.threads {
-		if !t.done {
-			return false
-		}
-	}
-	return true
-}
+func (c *Core) Done() bool { return c.running == 0 }
 
 // Threads returns the number of SMT contexts.
 func (c *Core) Threads() int { return len(c.threads) }
@@ -182,14 +180,24 @@ func (c *Core) Cycle(now int64) {
 	c.accountCycle()
 	c.stats.Cycles = now
 	c.stats.ROBOccupancySum += uint64(c.space.Used())
+	if c.longMin <= now {
+		c.expireLongLoads()
+	}
+	c.stats.OutstandingSum += uint64(len(c.longUntil))
+}
+
+// expireLongLoads drops the long-latency loads that completed by now
+// from longUntil. Cycle calls it only once the earliest entry is due.
+func (c *Core) expireLongLoads() {
 	live := c.longUntil[:0]
+	c.longMin = farFuture
 	for _, at := range c.longUntil {
-		if at > now {
+		if at > c.now {
 			live = append(live, at)
+			c.longMin = min(c.longMin, at)
 		}
 	}
 	c.longUntil = live
-	c.stats.OutstandingSum += uint64(len(live))
 }
 
 // complete retires execution events due at or before now and performs
@@ -296,11 +304,10 @@ func (c *Core) NextWake() int64 {
 // per-cycle stats (FetchIdle, occupancy and outstanding-miss sums, the
 // cycle-stack component — constant across the window because every input
 // of classifyStall is pipeline state that cannot change without activity,
-// and the one time comparison is bounded by the jump), the round-robin
-// counters that advance even on idle cycles, and the hole-list compaction
-// an idle dispatch would perform. The cycle-stack additions stay exact:
-// all values are multiples of 1/CommitWidth far below 2^53, so batched
-// float adds equal repeated ones bit-for-bit.
+// and the one time comparison is bounded by the jump), and the round-robin
+// counters that advance even on idle cycles. The cycle-stack additions
+// stay exact: all values are multiples of 1/CommitWidth far below 2^53,
+// so batched float adds equal repeated ones bit-for-bit.
 func (c *Core) SkipTo(target int64) {
 	delta := target - c.now
 	if delta <= 0 {
@@ -308,9 +315,6 @@ func (c *Core) SkipTo(target int64) {
 	}
 	// Classify once at the first skipped cycle; constant over the window.
 	c.now++
-	for _, t := range c.threads {
-		t.oldestHoleSeq() // idle dispatch would compact holes/unresolved
-	}
 	t, head := c.oldestHead()
 	if head != nil && head.spliceHold != nil && !head.spliceHold.segDispatched && !head.spliceHold.cancelled {
 		c.stats.HoldSplice += uint64(delta)

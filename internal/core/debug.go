@@ -12,11 +12,19 @@ func resolvingIdx(mi *missInfo) int {
 	return mi.fetched
 }
 
-// checkInvariants panics when per-miss segment accounting breaks:
+// checkInvariants panics when per-miss segment accounting breaks —
 // dispatched + in-frontend + unfetched must equal the segment length for
-// every live hole. Enabled in tests via debugChecks.
+// every live hole — or when a thread's cached oldest-hole sequence
+// disagrees with a fresh scan, i.e. some change to a hole missed
+// invalidateHoles. Enabled in tests via debugChecks.
 func (c *Core) checkInvariants() {
 	for _, t := range c.threads {
+		if t.holeSeqOK {
+			if fresh := t.oldestHoleSeq(); fresh != t.holeSeq {
+				panic(fmt.Sprintf("core %d @%d t%d: cached oldest hole #%d, fresh scan #%d\n%s",
+					c.id, c.now, t.id, t.holeSeq, fresh, c.DumpState()))
+			}
+		}
 		for _, mi := range t.holes {
 			if mi.cancelled || mi.segDispatched {
 				continue

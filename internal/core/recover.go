@@ -67,9 +67,9 @@ func (c *Core) resolveSelective(t *thread, u *uop) {
 		c.trace("RECOVER-SEL t%d %s seg=%d", t.id, traceUop(u), len(mi.seg))
 	}
 	mi.resolved = true
+	t.invalidateHoles()
 	if len(mi.seg) == 0 {
-		mi.segDispatched = true
-		c.releaseSeg(mi)
+		c.segDone(t, mi)
 	} else {
 		// The branch entry is the initial splice cursor: the first
 		// resolved-path instruction is inserted right after it.
@@ -284,9 +284,7 @@ func (c *Core) flushFrontendYounger(t *thread, branchSeq uint64) {
 			if w.miss != nil && !w.miss.resolved && !w.miss.cancelled {
 				// A younger in-slice miss detected in the frontend:
 				// cancel it with its branch.
-				w.miss.cancelled = true
-				t.pendingMisses--
-				c.releaseSeg(w.miss)
+				c.cancelMiss(t, w.miss)
 			}
 			c.freeUop(w)
 			continue
@@ -299,14 +297,11 @@ func (c *Core) flushFrontendYounger(t *thread, branchSeq uint64) {
 		if mi.branchSeq > branchSeq || mi.cancelled {
 			for _, w := range mi.feq[mi.feqHead:] {
 				if w.miss != nil && !w.miss.resolved && !w.miss.cancelled {
-					w.miss.cancelled = true
-					t.pendingMisses--
-					c.releaseSeg(w.miss)
+					c.cancelMiss(t, w.miss)
 				}
 				c.freeUop(w)
 			}
-			mi.feq = mi.feq[:0]
-			mi.feqHead = 0
+			c.putFeq(mi)
 			mi.inResolveList = false
 			continue
 		}
@@ -319,12 +314,18 @@ func (c *Core) flushFrontendYounger(t *thread, branchSeq uint64) {
 // any — the per-victim half of step 3 of a full-squash recovery.
 func (c *Core) cancelVictimMiss(t *thread, v *uop) {
 	if v.miss != nil && !v.miss.cancelled {
-		if !v.miss.resolved {
-			t.pendingMisses--
-		}
-		v.miss.cancelled = true
-		c.releaseSeg(v.miss)
+		c.cancelMiss(t, v.miss)
 	}
+}
+
+// cancelMiss squashes in-slice miss mi together with its branch.
+func (c *Core) cancelMiss(t *thread, mi *missInfo) {
+	if !mi.resolved {
+		t.pendingMisses--
+	}
+	mi.cancelled = true
+	t.invalidateHoles()
+	c.releaseMiss(mi)
 }
 
 // resetFetchAfterFlush points fetch back at the trace — step 5 of every

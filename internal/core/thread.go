@@ -68,6 +68,18 @@ type thread struct {
 	// reserved resources.
 	holes      []*missInfo
 	unresolved []*missInfo
+	// holeSeq caches oldestHoleSeq() while holeSeqOK is set; see
+	// invalidateHoles for when it is cleared.
+	holeSeq   uint64
+	holeSeqOK bool
+
+	// Dispatch's resolve candidates for the current pass (see
+	// dispatchResolve): cands is the untried rest, in branch order,
+	// candBuf its reused storage, and candsStale asks for a fresh
+	// collection before the next resolve attempt.
+	cands      []*missInfo
+	candBuf    []*missInfo
+	candsStale bool
 
 	pendingMisses int // in-slice misses detected but not yet resolved
 	fenceStall    bool
@@ -202,3 +214,22 @@ func (t *thread) oldestHoleSeq() uint64 {
 	t.unresolved = liveU
 	return oldest
 }
+
+// oldestHole is oldestHoleSeq, rescanned only after invalidateHoles.
+func (t *thread) oldestHole() uint64 {
+	if !t.holeSeqOK {
+		t.holeSeq = t.oldestHoleSeq()
+		t.holeSeqOK = true
+	}
+	return t.holeSeq
+}
+
+// invalidateHoles drops the cached oldest-hole sequence. The cache rule:
+// every event that can change oldestHoleSeq's answer calls this — an
+// in-slice miss detected (fetchNormal, or nested in fetchResolve), one
+// resolved (resolveSelective), its path fully dispatched or truncated
+// (segDone), or cancelled by a full-squash recovery (cancelMiss).
+// Nothing else writes the fields the scan reads. With debug checks on,
+// checkInvariants compares a valid cache against a fresh scan every
+// cycle.
+func (t *thread) invalidateHoles() { t.holeSeqOK = false }
